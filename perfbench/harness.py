@@ -7,7 +7,9 @@ executor ``repro.campaign.make_executor()`` returns by default), waits for
 every result, checks them, and submits the next sweep until the time budget
 is spent.  Each sweep is one sample; every timing is the median over the
 samples.  Each sweep starts from empty workload and topology memos, as a
-fresh campaign does, and every simulated cache starts empty.
+fresh campaign does, and every simulated cache starts empty.  Every host
+time is scaled by the host's speed over its sample, measured with the
+reference computation in :mod:`perfbench.calibrate`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ from pathlib import Path
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from perfbench import calibrate
 from perfbench.build import ensure_extension, import_seconds
+from perfbench.calibrate import HostSpeed
 from perfbench.tracing import (
     BUILD,
     CHECK_SPAN,
@@ -126,12 +130,12 @@ class RecordingExecutor:
         self.last_end = 0.0
 
     def map(self, specs: Any) -> List[Any]:
-        start = perf_counter()
+        start = self.tracer.clock()
         if self.first_start is None:
             self.first_start = start
         results = self.tracer.span("campaign.map", True, self.inner.map,
                                    specs)
-        self.last_end = perf_counter()
+        self.last_end = self.tracer.clock()
         self.pairs.extend(zip(specs, results))
         return results
 
@@ -150,6 +154,20 @@ class Sweep:
     pairs: List[Tuple[Any, Any]]
     trace: SweepTrace
     memo: Dict[str, int]
+    #: The host's speed, sampled while the sweep ran.
+    host: HostSpeed
+    #: Point keys and :func:`sweep_values`, kept once ``pairs`` is let go.
+    keys: List[str] = field(default_factory=list)
+    values: Dict[str, float] = field(default_factory=dict)
+
+    def settle(self) -> None:
+        """Keep the sweep's figures and point keys, and let its design
+        points go.  Kept results would grow the heap with every sweep, and
+        every later garbage collection walks the heap."""
+        self.values = sweep_values(self)
+        self.keys = [point_key(spec.config, result.config_label)
+                     for spec, result in self.pairs]
+        self.pairs = []
 
 
 def _cpu_seconds() -> float:
@@ -177,20 +195,27 @@ def execute(workload: Workload, seed: int, tracer: Tracer, *, index: int,
     clear_memos()
     gc.collect()
     executor = RecordingExecutor(make_executor(), tracer)
-    cpu_start = _cpu_seconds()
+    # Every time of the sweep, spans included, leaves out the host-speed
+    # sampling that interrupts it.
+    sampler = calibrate.Sampler()
+    tracer.clock = sampler.clock
     tracer.install(traced)
+    cpu_start = _cpu_seconds()
+    sampler.start()
     try:
         run_sweep(workload, seed, executor)
     finally:
+        sampler.stop()
+        cpu = _cpu_seconds() - cpu_start - sampler.spent_cpu_s
         trace = tracer.uninstall()
+        tracer.clock = perf_counter
         executor.close()
-    cpu = _cpu_seconds() - cpu_start
     check_accounting(trace, len(executor.pairs),
                      [result for _, result in executor.pairs])
     return Sweep(index=index, seed=seed, warmup=warmup, traced=traced,
                  wall_s=executor.last_end - (executor.first_start or 0.0),
                  cpu_s=cpu, pairs=executor.pairs, trace=trace,
-                 memo=memo_stats())
+                 memo=memo_stats(), host=sampler.speed())
 
 
 # -------------------------------------------------------------- correctness
@@ -241,18 +266,17 @@ class Checker:
                 self._fail(sweep.index, key, "digest changed between sweeps")
 
     def cross_check(self, sweep: Sweep, sweeps: Sequence[Sweep]) -> None:
-        """Every point measured must match ``sweep`` (run on the other
-        tier) digest for digest."""
+        """Every point measured in ``sweeps`` must match ``sweep`` (run on
+        the other tier) digest for digest."""
         other = {point_key(spec.config, result.config_label): digest(result)
                  for spec, result in sweep.pairs}
         tiers = {info.tier for info in sweep.trace.points}
         for measured in sweeps:
-            for spec, result in measured.pairs:
-                key = point_key(spec.config, result.config_label)
+            for key in measured.keys:
                 if tiers != {"compiled"}:
                     self._fail(measured.index, key, "cross-tier check did "
                                f"not run on the compiled tier ({tiers})")
-                elif other.get(key) != digest(result):
+                elif other.get(key) != self.digests.get(key):
                     self._fail(measured.index, key,
                                "pure and compiled digests differ")
 
@@ -274,7 +298,11 @@ def _ratio(numerator: float, denominator: float) -> float:
 
 
 def sweep_values(sweep: Sweep) -> Dict[str, float]:
-    """Every per-sweep figure, end-to-end parts and per-layer metrics."""
+    """Every per-sweep figure, end-to-end parts and per-layer metrics.
+
+    The end-to-end times are scaled to the nominal host; ``raw.*`` keep
+    them as measured.  Per-layer times stay as measured.
+    """
     results = [result for _, result in sweep.pairs]
     directory = [result for spec, result in sweep.pairs
                  if spec.config.protocol.value == "directory"]
@@ -288,11 +316,15 @@ def sweep_values(sweep: Sweep) -> Dict[str, float]:
     lost = sum(record.total_cost_cycles for record in records)
     l2 = sum(r.l2_hits + r.l2_misses for r in results)
     messages = sum(r.messages_delivered for r in directory)
+    scale = sweep.host.time_scale()
     values = {
-        "wall_s": sweep.wall_s,
-        "setup_part_s": build_s + load_s,
-        "refs_per_s": _ratio(refs, simulate_s),
-        "cpu_s": sweep.cpu_s,
+        "wall_s": sweep.wall_s * scale,
+        "setup_part_s": (build_s + load_s) * scale,
+        "refs_per_s": _ratio(refs, simulate_s * scale),
+        "cpu_s": sweep.cpu_s * sweep.host.cpu_scale(),
+        "raw.wall_s": sweep.wall_s,
+        "raw.cpu_s": sweep.cpu_s,
+        "host.unit_s": sweep.host.wall_s,
         "campaign.points": len(results),
         "campaign.overhead_s": (sweep.wall_s - build_s - run_s
                                 - trace.total(CHECK_SPAN)),
@@ -383,7 +415,7 @@ class Outcome:
 
 def run_workload(workload: Workload, seed: int, seconds: float, trace: bool,
                  *, recorded: Optional[Dict[str, str]] = None,
-                 import_samples: int = 5, build: bool = True,
+                 import_samples: int = 9, build: bool = True,
                  tracer: Optional[Tracer] = None) -> Outcome:
     """Measure ``workload`` for ``seconds`` and check every design point.
 
@@ -401,8 +433,10 @@ def run_workload(workload: Workload, seed: int, seconds: float, trace: bool,
     tracer = tracer if tracer is not None else Tracer()
     # Import samples are spread over the run, between sweeps: taken back to
     # back they all see the same momentary host speed.  Their time does not
-    # count against the sweeps' budget.
+    # count against the sweeps' budget.  Each is scaled by the host speed
+    # measured right before and right after it.
     imports: List[float] = []
+    raw_imports: List[float] = []
     wanted_imports = 0 if trace else import_samples
     start = perf_counter()
     sampling_s = 0.0
@@ -413,7 +447,11 @@ def run_workload(workload: Workload, seed: int, seconds: float, trace: bool,
     def sample_import() -> None:
         nonlocal sampling_s
         begun = perf_counter()
-        imports.extend(import_seconds(ROOT, [DRIVERS[workload.driver]], 1))
+        before = calibrate.measure()
+        seconds_taken = import_seconds(ROOT, [DRIVERS[workload.driver]], 1)[0]
+        host = HostSpeed.between(before, calibrate.measure())
+        raw_imports.append(seconds_taken)
+        imports.append(seconds_taken * host.time_scale())
         sampling_s += perf_counter() - begun
 
     kernel.set_kernel_tier("auto" if workload.tier == "compiled" else "pure")
@@ -429,6 +467,7 @@ def run_workload(workload: Workload, seed: int, seconds: float, trace: bool,
             sweep = execute(workload, seed + index % workload.seeds, tracer,
                             index=index, warmup=warmup, traced=traced)
             checker.check(sweep)
+            sweep.settle()
             sweeps.append(sweep)
             index += 1
             timed = [s for s in sweeps if not s.warmup]
@@ -458,21 +497,25 @@ def run_workload(workload: Workload, seed: int, seconds: float, trace: bool,
             "build": build_meta,
             "samples": len(timed),
             "import_s": imports,
+            "raw_import_s": raw_imports,
+            "nominal_unit_s": calibrate.NOMINAL_UNIT_S,
         }
     finally:
         kernel.set_kernel_tier(None)
 
     units = metric_units()
-    per_sweep = [(s, sweep_values(s)) for s in timed]
+    per_sweep = [(s, s.values) for s in timed]
     metrics: Dict[str, Dict[str, Any]] = {}
+    for name in ("raw.wall_s", "raw.cpu_s", "host.unit_s"):
+        provenance[name] = describe([v[name] for _, v in per_sweep])
     if trace:
         traced_values = [v for s, v in per_sweep if s.traced]
         for name, unit in units["per_layer"].items():
             if name == "trace.overhead_share":
                 traced_wall = statistics.median(
-                    s.wall_s for s, _ in per_sweep if s.traced)
+                    v["wall_s"] for s, v in per_sweep if s.traced)
                 plain_wall = statistics.median(
-                    s.wall_s for s, _ in per_sweep if not s.traced)
+                    v["wall_s"] for s, v in per_sweep if not s.traced)
                 samples = [traced_wall / plain_wall - 1.0]
             else:
                 samples = [v[name] for v in traced_values]

@@ -3,9 +3,9 @@
 
 Usage, from the repository root::
 
-    python3 perfbench/run.py --workload fig4 --seed 1 --seconds 35 --trace 0
-    python3 perfbench/run.py --workload fig4-pure --seed 1 --seconds 35 --trace 1
-    python3 perfbench/run.py --all --seconds 35        # every workload, untraced
+    python3 perfbench/run.py --workload fig4 --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload fig4-pure --seed 1 --seconds 30 --trace 1
+    python3 perfbench/run.py --all --seconds 30        # every workload, untraced
     python3 perfbench/run.py --record-digests          # re-record digests.json
 
 ``--trace 0`` prints the end-to-end metrics, ``--trace 1`` the per-layer
@@ -43,7 +43,7 @@ def _parse(argv):
                         help="re-record perfbench/digests.json on the "
                              "default seed")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--seconds", type=float, default=35.0)
+    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     return parser.parse_args(argv)
 

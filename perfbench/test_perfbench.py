@@ -7,14 +7,16 @@ of short design points on whichever kernel tier this interpreter has.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import shutil
+import signal
 import subprocess
 import sys
 
 import pytest
 
-from perfbench import harness
+from perfbench import calibrate, harness
 from perfbench.tracing import RUN, TraceAccountingError, Tracer
 from repro import kernel
 
@@ -49,6 +51,19 @@ def test_every_metric_prints_with_its_unit(name, trace):
     assert {name: m["unit"] for name, m in line["metrics"].items()} == declared
     assert all(isinstance(m["value"], (int, float))
                for m in line["metrics"].values())
+
+
+def test_end_to_end_times_are_scaled_by_the_host_speed():
+    outcome = run_tiny("fig4")
+    provenance = outcome.provenance
+    expected = [raw * calibrate.NOMINAL_UNIT_S / unit for raw, unit in zip(
+        provenance["raw.wall_s"]["samples"],
+        provenance["host.unit_s"]["samples"])]
+    assert outcome.metrics["wall_s"]["samples"] == pytest.approx(expected)
+    # The sampling leaves the process as it found it.
+    assert gc.isenabled()
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+    assert signal.getsignal(signal.SIGALRM) is signal.SIG_DFL
 
 
 def test_flipped_recorded_digest_raises_fail_ratio():
