@@ -11,7 +11,7 @@ tier is always sufficient, so build errors for the extension are reported
 but not fatal.
 """
 
-from setuptools import Extension, setup
+from setuptools import Extension, find_packages, setup
 from setuptools.command.build_ext import build_ext
 
 
@@ -43,7 +43,8 @@ class optional_build_ext(build_ext):
 
 setup(
     package_dir={"": "src"},
-    packages=["repro"],
+    packages=find_packages("src"),
+    install_requires=["numpy"],
     ext_modules=[
         Extension(
             "repro._ckernel",

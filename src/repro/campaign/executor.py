@@ -33,7 +33,7 @@ from repro.campaign.manifest import atomic_write_json
 from repro.campaign.precompute import artifact_keys
 from repro.coherence.cache import disable_set_pool, enable_set_pool
 from repro.campaign.spec import RunSpec, SweepSpec
-from repro.system import build_system
+from repro.system import System, build_system
 from repro.system.results import RunResult, RESULT_SCHEMA
 
 
@@ -66,48 +66,71 @@ def reset_perf_counters() -> None:
         PERF_COUNTERS[key] = 0
 
 
+def build_spec_system(spec: RunSpec) -> System:
+    """Build the machine a design point describes, ready to run.
+
+    Note the ``is not None`` check — an explicit ``0.0`` rate attaches an
+    injector that never fires, which is a different system from one with no
+    injector at all.
+    """
+    system = build_system(spec.config, label=spec.label)
+    if spec.recovery_rate_per_second is not None:
+        system.attach_recovery_injector(spec.recovery_rate_per_second)
+    return system
+
+
+def run_to_release(system: System,
+                   max_cycles: Optional[int]) -> RunResult:
+    """Run a built machine to completion and keep only what outlives it.
+
+    Takes the result and the :data:`PERF_COUNTERS` tallies, then hands the
+    machine's cache set-lists to the pool (a no-op unless an in-process
+    executor enabled it around its batch), so the next same-geometry build
+    reuses them instead of allocating tens of thousands of fresh per-set
+    dicts.  Once this returns, the caller's reference is the machine's last
+    one — the recycling loop's ``node`` dies with this frame; left bound in
+    the caller, it would keep the machine reachable.  Dropping that
+    reference and calling ``gc.collect(0)`` while the collector is still
+    paused then frees the whole machine, because nothing was collected
+    during the run and so all of it still sits in generation 0.  Every
+    in-process executor finishes its design points through here.
+    """
+    result = system.run(max_cycles=max_cycles)
+    PERF_COUNTERS["runs"] += 1
+    PERF_COUNTERS["events_executed"] += system.sim.events_executed
+    for node in system.nodes:
+        node.l2_array.recycle_sets()
+        if node.l1 is not None:
+            node.l1.tags.recycle_sets()
+    return result
+
+
 def execute_spec(spec: RunSpec) -> RunResult:
     """Run one design point from scratch and return its result.
 
     This is the single build-and-run path: it must stay importable at module
     level (the parallel executor ships it to worker processes by reference).
-    Note the ``is not None`` check — an explicit ``0.0`` rate attaches an
-    injector that never fires, which is a different system from one with no
-    injector at all.
 
-    The cyclic garbage collector is paused for the duration of the run and a
-    full collection happens right after: a run allocates millions of
-    short-lived objects whose lifetimes the kernel already manages through
-    reference counting and free lists, so mid-run generational collections
-    are pure overhead, while the collect-after bounds the retained cyclic
-    garbage (dead simulated machines) to a single run.
+    The cyclic garbage collector is paused for the duration of the run: a
+    run allocates millions of short-lived objects whose lifetimes the
+    kernel already manages through reference counting and free lists, so
+    mid-run generational collections are pure overhead.  The finished
+    machine is a cyclic object graph (components <-> simulator) that
+    reference counting alone cannot free.  It is never bound in this frame,
+    so once :func:`run_to_release` returns it is unreachable, and a
+    youngest-generation collect — still with the collector paused, so no
+    automatic collection can promote it first — frees it before the next
+    design point is built.
     """
     reset_global_ids()
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        system = build_system(spec.config, label=spec.label)
-        if spec.recovery_rate_per_second is not None:
-            system.attach_recovery_injector(spec.recovery_rate_per_second)
-        result = system.run(max_cycles=spec.max_cycles)
+        result = run_to_release(build_spec_system(spec), spec.max_cycles)
+        gc.collect(0)
     finally:
         if gc_was_enabled:
             gc.enable()
-            # Generation 1 suffices: everything this run allocated sits in
-            # generation 0 (no collection ran while gc was off), and the
-            # previous run's machine — promoted to generation 1 by its own
-            # post-run collection — dies here too.
-            gc.collect(1)
-    PERF_COUNTERS["runs"] += 1
-    PERF_COUNTERS["events_executed"] += system.sim.events_executed
-    # Hand the finished machine's cache set-lists to the pool (a no-op
-    # unless an in-process executor enabled it around its batch); the next
-    # same-geometry build then reuses them instead of allocating tens of
-    # thousands of fresh per-set dicts.
-    for node in system.nodes:
-        node.l2_array.recycle_sets()
-        if node.l1 is not None:
-            node.l1.tags.recycle_sets()
     return result
 
 

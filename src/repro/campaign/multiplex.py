@@ -23,10 +23,12 @@ process as a single scheduled pass:
 * **Amortized prologue.**  The cyclic garbage collector is paused for the
   duration of the pass (and restored afterwards): the simulation kernel
   manages its own pools, so mid-pass collection work is pure overhead.
-  Each finished machine hands its cache set-lists back to the pool and is
-  then dropped with a youngest-generation-only collect; dead machines the
-  window promoted are left for the automatic collector after the pass,
-  which is measurably cheaper than sweeping the old generation mid-pass.
+  Each finished machine goes through the executor's release step
+  (:func:`~repro.campaign.executor.run_to_release`: its cache set-lists go
+  back to the pool) and is then dropped with a youngest-generation-only
+  collect; dead machines the window promoted are left for the automatic
+  collector after the pass, which is measurably cheaper than sweeping the
+  old generation mid-pass.
 
 Determinism.  Serial execution resets the process-global id counters
 (transactions, bus requests, network messages) immediately before *each*
@@ -53,15 +55,15 @@ import repro.coherence.snooping.bus as _snooping_bus
 import repro.interconnect.message as _message
 from repro.coherence.cache import disable_set_pool, enable_set_pool
 from repro.campaign.executor import (
-    PERF_COUNTERS,
     Executor,
     ResultCache,
     SpecBatch,
+    build_spec_system,
     reset_global_ids,
+    run_to_release,
 )
 from repro.campaign.precompute import artifact_keys
 from repro.campaign.spec import RunSpec
-from repro.system import build_system
 from repro.system.results import RunResult
 
 __all__ = ["MultiplexExecutor", "DEFAULT_WIDTH"]
@@ -129,9 +131,7 @@ class MultiplexExecutor(Executor):
         """The per-run prologue: fresh counters, system build, injector."""
         start = time.perf_counter()
         reset_global_ids()
-        system = build_system(spec.config, label=spec.label)
-        if spec.recovery_rate_per_second is not None:
-            system.attach_recovery_injector(spec.recovery_rate_per_second)
+        system = build_spec_system(spec)
         return _InFlight(index, spec, system, _capture_counters(),
                          time.perf_counter() - start)
 
@@ -140,31 +140,23 @@ class MultiplexExecutor(Executor):
         """Run one built system to completion and store its result."""
         start = time.perf_counter()
         _install_counters(flight.counters)
-        system = flight.system
-        result = system.run(max_cycles=flight.spec.max_cycles)
-        PERF_COUNTERS["runs"] += 1
-        PERF_COUNTERS["events_executed"] += system.sim.events_executed
+        result = run_to_release(flight.system, flight.spec.max_cycles)
         seconds = flight.build_seconds + (time.perf_counter() - start)
         self._store(flight.spec, result, wall_seconds=seconds)
         results[flight.index] = result
-        # Hand the finished machine's cache set-lists back to the pool (the
-        # next build draws them warm instead of allocating tens of
-        # thousands of fresh per-set dicts), then drop the machine itself.
-        for node in system.nodes:
-            node.l2_array.recycle_sets()
-            if node.l1 is not None:
-                node.l1.tags.recycle_sets()
+        # Drop the machine's last reference.  It is a cyclic object graph
+        # (components <-> sim), so that frees nothing by itself while the
+        # collector is paused; a youngest-generation collect frees it when
+        # it is still in generation 0, which with ``width=1`` it always is
+        # (nothing collects between its build and this point).  A wider
+        # window's later machines are promoted by this collect while still
+        # in flight, so they die in an older generation and are left for
+        # the automatic collector once the pass re-enables it (their bulky
+        # per-set dicts are already back in the pool).  Deeper per-run
+        # collects measure strictly slower: they promote every live
+        # in-flight machine to the old generation, where freeing the pile
+        # costs one large sweep.
         flight.system = None
-        # The machine is a cyclic object graph (components <-> sim), so
-        # dropping the reference frees nothing by itself while the
-        # collector is paused.  A youngest-generation collect reclaims
-        # whatever died since the last one at near-zero cost; anything the
-        # window kept alive long enough to be promoted is deliberately left
-        # for the automatic collector once the pass re-enables it (its big
-        # per-set dicts are already back in the pool, so the stragglers are
-        # cheap skeletons).  Deeper per-run collects measure strictly
-        # slower: they promote every live in-flight machine to the old
-        # generation, where freeing the pile costs one large sweep.
         gc.collect(0)
 
     # -------------------------------------------------------------- interface

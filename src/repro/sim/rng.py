@@ -16,6 +16,13 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 
+#: Values a :class:`BufferedIntegers` fetches on its first refill.  Small on
+#: purpose: most streams are short-lived (a processor draws some 15 to 100
+#: jitter values per campaign design point), so a full chunk up front would
+#: mostly be generated, converted and thrown away.
+FIRST_CHUNK = 16
+
+
 class BufferedIntegers:
     """Chunked prefetch of ``Generator.integers(low, high)`` draws.
 
@@ -23,13 +30,20 @@ class BufferedIntegers:
     same bounded-rejection routine as ``n`` scalar calls, consuming the bit
     stream in the same order — so prefetching a chunk yields a sequence
     *bit-identical* to per-draw scalar calls (pinned by
-    ``test_stats_rng_config``).  The only requirement is that the underlying
-    stream is consumed exclusively through this buffer: interleaving other
-    draws on the same stream would consume the same bits in a different
-    order.
+    ``test_stats_rng_config``), whatever the chunk sizes.  The only
+    requirement is that the underlying stream is consumed exclusively
+    through this buffer: interleaving other draws on the same stream would
+    consume the same bits in a different order.
+
+    Chunks grow on demand: the first refill fetches :data:`FIRST_CHUNK`
+    values and every later one as many as were fetched before it, capped at
+    ``chunk``.  A stream of ``n`` draws therefore never fetches more than
+    ``max(FIRST_CHUNK, 2 * n)`` values, while a long stream reaches full
+    chunks after a handful of refills.
     """
 
-    __slots__ = ("_stream", "_low", "_high", "_chunk", "_buf", "_pos")
+    __slots__ = ("_stream", "_low", "_high", "_chunk", "_buf", "_pos",
+                 "_fetched")
 
     def __init__(self, stream: np.random.Generator, low: int, high: int,
                  chunk: int = 4096) -> None:
@@ -41,16 +55,19 @@ class BufferedIntegers:
         self._chunk = chunk
         self._buf: Sequence[int] = ()
         self._pos = 0
+        self._fetched = 0
 
     def next(self) -> int:
         pos = self._pos
         buf = self._buf
         if pos >= len(buf):
+            size = min(self._chunk, max(FIRST_CHUNK, self._fetched))
             # .tolist() converts the whole chunk to plain ints once, which
             # is far cheaper than one numpy-scalar __int__ per draw.
             buf = self._stream.integers(self._low, self._high,
-                                        size=self._chunk).tolist()
+                                        size=size).tolist()
             self._buf = buf
+            self._fetched += size
             pos = 0
         self._pos = pos + 1
         return buf[pos]

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import weakref
+
 import pytest
 
+import repro.campaign.executor as executor_module
 from repro.sim.config import (
     CacheConfig,
     CheckpointConfig,
@@ -46,6 +49,22 @@ def tiny_interconnect_config() -> InterconnectConfig:
     return InterconnectConfig(mesh_width=4, mesh_height=4,
                               link_latency_cycles=4,
                               switch_buffer_capacity=8)
+
+
+@pytest.fixture
+def built_machines(monkeypatch) -> list:
+    """Weak references to every machine the campaign executors build from
+    here on, for tests that check when a finished machine is freed."""
+    built = []
+    original = executor_module.build_system
+
+    def spy(*args, **kwargs):
+        system = original(*args, **kwargs)
+        built.append(weakref.ref(system))
+        return system
+
+    monkeypatch.setattr(executor_module, "build_system", spy)
+    return built
 
 
 @pytest.fixture(scope="session")

@@ -201,6 +201,24 @@ class TestExecutors:
         assert result.recoveries_of(SpeculationKind.INJECTED) == 0
 
 
+class TestPromptRelease:
+    """A finished design point's machine is freed before ``execute_spec``
+    returns, not left for a later full collection (no ``gc.collect()`` in
+    these tests: the executor's own release step must do it)."""
+
+    @pytest.mark.parametrize("protocol", [ProtocolKind.DIRECTORY,
+                                          ProtocolKind.SNOOPING])
+    def test_machine_is_dead_when_execute_spec_returns(self, built_machines,
+                                                       protocol):
+        config = SystemConfig.small(4, references=100).with_updates(
+            protocol=protocol)
+        result = execute_spec(RunSpec(config=config,
+                                      recovery_rate_per_second=0.0))
+        assert result.references_completed > 0
+        assert len(built_machines) == 1
+        assert built_machines[0]() is None
+
+
 class TestRegistry:
     def test_discover_finds_every_driver(self):
         discover()

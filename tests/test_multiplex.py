@@ -101,6 +101,13 @@ class TestMultiplexDeterminism:
         assert not cache_module._POOL_ENABLED
         assert not cache_module._SET_POOL
 
+    def test_width_one_frees_each_machine_before_returning(self,
+                                                           built_machines):
+        MultiplexExecutor(width=1).map([small_spec(references=100),
+                                        small_spec(references=100, seed=2)])
+        assert len(built_machines) == 2
+        assert [ref() for ref in built_machines] == [None, None]
+
     def test_memo_stats_counts_hits(self):
         clear_memos()
         spec_a = small_spec(references=80, seed=7)

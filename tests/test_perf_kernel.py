@@ -27,7 +27,7 @@ from repro.interconnect.topology import Direction, TorusTopology
 from repro.safetynet.log import CheckpointLogBuffer, UndoRecord
 from repro.sim.config import InterconnectConfig
 from repro.sim.engine import EventQueue, Simulator
-from repro.sim.rng import DeterministicRng
+from repro.sim.rng import FIRST_CHUNK, DeterministicRng
 from repro.workloads import make_workload
 from repro.workloads.base import SyntheticWorkload, WorkloadProfile
 
@@ -335,6 +335,20 @@ class TestBufferedRandint:
         rng.buffered_randint("s", 0, 3)
         rng.buffered_randint("s", 0, 5)
         assert set(rng._int_buffers) == {("s", 0, 3), ("s", 0, 5)}
+
+    @pytest.mark.parametrize("draws", [
+        FIRST_CHUNK // 2,        # below the first chunk
+        4 * FIRST_CHUNK,         # exactly at a doubling boundary
+        4 * FIRST_CHUNK + 1,     # one past it: triggers the next refill
+        10_000,                  # past the 4096 cap
+    ])
+    def test_prefetch_is_bounded_by_twice_the_draws(self, draws):
+        rng = DeterministicRng(3)
+        for _ in range(draws):
+            rng.buffered_randint("gap", 0, 7)
+        buffer = rng._int_buffers[("gap", 0, 7)]
+        assert draws <= buffer._fetched <= max(FIRST_CHUNK, 2 * draws)
+        assert len(buffer._buf) <= 4096
 
 
 # ======================================================== workload stream v2
