@@ -8,16 +8,16 @@ orthogonal pieces:
   content hash;
 * :mod:`repro.campaign.registry` — ``@register_experiment`` collects every
   driver in :mod:`repro.experiments` for the runner to discover;
-* :mod:`repro.campaign.executor` — serial and process-parallel executors
-  with optional on-disk result caching, through which every simulated run
-  funnels.
+* :mod:`repro.campaign.executor` — the in-process serial executor and the
+  process-parallel one, with optional on-disk result caching, through
+  which every simulated run funnels (the crash-safe sharded executor of
+  :mod:`repro.campaign.sharding` builds on them).
 
 See EXPERIMENTS.md for the user-facing tour and DESIGN.md §4 for the
 architecture rationale.
 """
 
 from repro.campaign.executor import (
-    BatchExecutor,
     Executor,
     ParallelExecutor,
     ResultCache,
@@ -28,14 +28,12 @@ from repro.campaign.executor import (
     reset_global_ids,
     reset_perf_counters,
 )
-from repro.campaign.multiplex import MultiplexExecutor
 from repro.campaign.manifest import (
     CampaignManifest,
     read_manifest,
     write_manifest,
 )
 from repro.campaign.precompute import (
-    artifact_keys,
     clear_memos,
     memo_stats,
 )
@@ -80,7 +78,6 @@ def __getattr__(name):
 
 
 __all__ = [
-    "BatchExecutor",
     "CampaignContext",
     "CampaignManifest",
     "ExperimentEntry",
@@ -94,7 +91,6 @@ __all__ = [
     "SweepSpec",
     "aggregate_partial",
     "all_experiments",
-    "artifact_keys",
     "campaign_status",
     "canonical_json",
     "clear_memos",

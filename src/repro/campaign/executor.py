@@ -8,12 +8,9 @@ parallel executor is a plain ``ProcessPoolExecutor`` fan-out; results come
 back in *spec order*, which keeps reports byte-identical to serial runs.
 
 Every executor accepts an optional :class:`ResultCache`: completed runs are
-stored on disk as :meth:`RunResult.to_json` documents keyed by the spec's
-content hash, so re-running a campaign only simulates design points whose
-configuration actually changed.  :class:`BatchExecutor` additionally groups
-a batch by the precomputed artifacts its specs share (workload streams,
-topology tables; see :mod:`repro.campaign.precompute`) and runs each group
-consecutively in one process with warm memos.
+stored on disk as :meth:`RunResult.to_json` payloads in a cache envelope
+keyed by the spec's content hash, so re-running a campaign only simulates
+design points whose configuration actually changed.
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ import repro.coherence.common as _coherence_common
 import repro.coherence.snooping.bus as _snooping_bus
 import repro.interconnect.message as _message
 from repro.campaign.manifest import atomic_write_json
-from repro.campaign.precompute import artifact_keys
 from repro.coherence.cache import disable_set_pool, enable_set_pool
 from repro.campaign.spec import RunSpec, SweepSpec
 from repro.system import System, build_system
@@ -46,7 +42,7 @@ def reset_global_ids() -> None:
     ids that depend on how many runs happened earlier in the same process.
     Resetting before every run makes each design point's result independent
     of execution order — the property that lets serial, parallel, cached
-    and batched execution produce byte-identical results.
+    and sharded execution produce byte-identical results.
     """
     _coherence_common._TRANSACTION_IDS = itertools.count()
     _snooping_bus._REQUEST_IDS = itertools.count()
@@ -84,16 +80,16 @@ def run_to_release(system: System,
     """Run a built machine to completion and keep only what outlives it.
 
     Takes the result and the :data:`PERF_COUNTERS` tallies, then hands the
-    machine's cache set-lists to the pool (a no-op unless an in-process
-    executor enabled it around its batch), so the next same-geometry build
-    reuses them instead of allocating tens of thousands of fresh per-set
-    dicts.  Once this returns, the caller's reference is the machine's last
-    one — the recycling loop's ``node`` dies with this frame; left bound in
-    the caller, it would keep the machine reachable.  Dropping that
+    machine's cache set-lists to the pool (a no-op unless
+    :class:`SerialExecutor` enabled it around its batch), so the next
+    same-geometry build reuses them instead of allocating tens of thousands
+    of fresh per-set dicts.  Once this returns, the caller's reference is
+    the machine's last one — the recycling loop's ``node`` dies with this
+    frame; left bound in the caller, it would keep the machine reachable.  Dropping that
     reference and calling ``gc.collect(0)`` while the collector is still
     paused then frees the whole machine, because nothing was collected
-    during the run and so all of it still sits in generation 0.  Every
-    in-process executor finishes its design points through here.
+    during the run and so all of it still sits in generation 0.
+    :func:`execute_spec` finishes every design point through here.
     """
     result = system.run(max_cycles=max_cycles)
     PERF_COUNTERS["runs"] += 1
@@ -149,9 +145,10 @@ def execute_spec_timed(spec: RunSpec) -> Tuple[RunResult, float]:
 
 
 #: Schema tag of a cache entry envelope.  v1 envelopes wrap the result
-#: payload with execution metadata (wall seconds, worker id); bare
-#: pre-envelope entries (a raw ``RunResult.to_json`` document) stay
-#: readable — the *result* schema inside is what gates staleness.
+#: payload with execution metadata (wall seconds, worker id); the *result*
+#: schema inside is what gates staleness.  Anything else — including a bare
+#: pre-envelope ``RunResult.to_json`` document — is a miss, so the point
+#: simply runs again.
 CACHE_SCHEMA = "repro.campaign.cache/v1"
 
 
@@ -190,31 +187,27 @@ class ResultCache:
                 payload = json.load(handle)
         except (OSError, ValueError):
             return None
-        if not isinstance(payload, dict):
+        if not (isinstance(payload, dict)
+                and payload.get("schema") == CACHE_SCHEMA):
             return None
-        if payload.get("schema") == CACHE_SCHEMA:
-            recorded = payload.get("spec_hash")
-            if (expect_hash is not None and recorded is not None
-                    and recorded != expect_hash):
-                return None  # misfiled entry: never serve another spec's run
-            result = payload.get("result")
-            meta = payload.get("meta")
-            if not (isinstance(result, dict)
-                    and result.get("schema") == RESULT_SCHEMA):
-                return None
-            return {"result": result,
-                    "meta": meta if isinstance(meta, dict) else {}}
-        if payload.get("schema") == RESULT_SCHEMA:
-            # Pre-envelope entry: the document *is* the result payload.
-            return {"result": payload, "meta": {}}
-        return None
+        recorded = payload.get("spec_hash")
+        if (expect_hash is not None and recorded is not None
+                and recorded != expect_hash):
+            return None  # misfiled entry: never serve another spec's run
+        result = payload.get("result")
+        meta = payload.get("meta")
+        if not (isinstance(result, dict)
+                and result.get("schema") == RESULT_SCHEMA):
+            return None
+        return {"result": result,
+                "meta": meta if isinstance(meta, dict) else {}}
 
     def _load(self, spec: RunSpec) -> Optional[Dict[str, Any]]:
         return self._load_path(self.path_for(spec), spec.content_hash())
 
     def get(self, spec: RunSpec) -> Optional[RunResult]:
         entry = self._load(spec)
-        if entry is None or entry["result"] is None:
+        if entry is None:
             self.misses += 1
             return None
         try:
@@ -228,9 +221,10 @@ class ResultCache:
     def meta(self, spec: RunSpec) -> Optional[Dict[str, Any]]:
         """The execution metadata stored alongside a result.
 
-        ``None`` when the entry is absent/unreadable; ``{}`` for legacy
-        bare entries.  Never counts toward hit/miss tallies — metadata
-        probes (``campaign status`` throughput) are not cache traffic.
+        ``None`` when the entry is absent, unreadable or not an envelope;
+        ``{}`` when the envelope carries no metadata.  Never counts toward
+        hit/miss tallies — metadata probes (``campaign status`` throughput)
+        are not cache traffic.
         """
         return None if (entry := self._load(spec)) is None else entry["meta"]
 
@@ -353,47 +347,6 @@ class SerialExecutor(Executor):
         return results  # type: ignore[return-value]
 
 
-class BatchExecutor(SerialExecutor):
-    """In-process executor that orders a batch for artifact reuse.
-
-    Each design point depends on two expensive precomputed artifacts — its
-    generated workload streams and its topology routing tables (DESIGN.md
-    §9).  The memos under :func:`execute_spec` already share them
-    process-globally; this executor additionally groups the batch by
-    :func:`~repro.campaign.precompute.artifact_keys` and runs each group
-    consecutively, so a sweep that interleaves families still executes with
-    every group's artifacts warm and the memos' LRU never thrashes between
-    neighbouring runs.
-
-    Execution order is first-appearance order of the key pair (stable for a
-    given batch); results come back in *spec order* and — because every run
-    resets the global id counters — are byte-identical to serial, parallel
-    and cached execution.
-    """
-
-    def map(self, specs: SpecBatch) -> List[RunResult]:
-        cached = self._lookup(specs)
-        results: List[Optional[RunResult]] = [None] * len(specs)
-        for index, result in cached.items():
-            results[index] = result
-        groups: Dict[Tuple, List[Tuple[int, RunSpec]]] = {}
-        for index, spec in enumerate(specs):
-            if index in cached:
-                continue
-            groups.setdefault(artifact_keys(spec.config), []).append(
-                (index, spec))
-        enable_set_pool()
-        try:
-            for members in groups.values():
-                for index, spec in members:
-                    result, seconds = execute_spec_timed(spec)
-                    self._store(spec, result, wall_seconds=seconds)
-                    results[index] = result
-        finally:
-            disable_set_pool()
-        return results  # type: ignore[return-value]
-
-
 class ParallelExecutor(Executor):
     """Fans design points out to a ``ProcessPoolExecutor``.
 
@@ -457,27 +410,16 @@ class ParallelExecutor(Executor):
 
 def make_executor(parallel: int = 0,
                   cache_dir: Optional[str] = None,
-                  batched: bool = False,
                   workers: int = 0,
-                  resume: bool = False,
-                  multiplexed: bool = False) -> Executor:
+                  resume: bool = False) -> Executor:
     """Build the executor the runner CLI asks for.
 
     ``workers >= 1`` yields a :class:`~repro.campaign.sharding
     .ShardedExecutor` over the shared store at ``cache_dir`` (required:
-    the store *is* the coordination medium).  ``multiplexed`` yields a
-    :class:`~repro.campaign.multiplex.MultiplexExecutor` — one warm process
-    scheduling the whole batch — and is its own execution strategy: it
-    excludes ``parallel``/``batched``/``workers``.  Otherwise ``parallel <=
-    1`` yields a :class:`SerialExecutor` — or a :class:`BatchExecutor` when
-    ``batched`` is set; anything larger a :class:`ParallelExecutor` with
-    that many workers (each worker process keeps its own memos warm across
-    the specs it runs, so ``batched`` adds nothing there).
+    the store *is* the coordination medium).  Otherwise ``parallel <= 1``
+    yields a :class:`SerialExecutor`, anything larger a
+    :class:`ParallelExecutor` with that many workers.
     """
-    if multiplexed and (parallel or batched or workers):
-        raise ValueError(
-            "multiplexed is its own execution strategy; drop "
-            "parallel/batched/workers")
     if workers:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -493,13 +435,6 @@ def make_executor(parallel: int = 0,
         raise ValueError("resume only applies to sharded execution "
                          "(pass workers >= 1)")
     cache = ResultCache(cache_dir) if cache_dir else None
-    if multiplexed:
-        # Imported here: multiplex builds on this module.
-        from repro.campaign.multiplex import MultiplexExecutor
-
-        return MultiplexExecutor(cache=cache)
     if parallel and parallel > 1:
         return ParallelExecutor(max_workers=parallel, cache=cache)
-    if batched:
-        return BatchExecutor(cache=cache)
     return SerialExecutor(cache=cache)

@@ -8,7 +8,7 @@ essentially nothing.
 
 This driver reproduces that experiment: the FULL-variant directory system on
 the virtual-channel network (so no real mis-speculations occur), with a
-:class:`repro.core.detection.RecoveryRateInjector` triggering SafetyNet
+:class:`repro.speculation.detectors.RecoveryRateInjector` triggering SafetyNet
 recoveries at the requested rate.  Rates are interpreted against the
 configuration's ``cycles_per_second`` scale (see DESIGN.md §2).
 """

@@ -34,11 +34,7 @@ from repro.interconnect.routing import (
 from repro.interconnect.buffers import FiniteBuffer
 from repro.interconnect.link import Link
 from repro.interconnect.switch import Switch
-from repro.interconnect.network import (
-    InterconnectNetwork,
-    OrderingTracker,
-    TorusNetwork,
-)
+from repro.interconnect.network import InterconnectNetwork, OrderingTracker
 from repro.interconnect.deadlock import (
     DeadlockReport,
     WaitForGraph,
@@ -68,7 +64,6 @@ __all__ = [
     "Link",
     "Switch",
     "InterconnectNetwork",
-    "TorusNetwork",
     "OrderingTracker",
     "WaitForGraph",
     "DeadlockReport",

@@ -149,6 +149,42 @@ class TestExecutors:
         assert cache.hits >= 1
         assert result_bytes(hit) == result_bytes(fresh)
 
+    def test_cache_roundtrip_of_a_mixed_batch_is_identical(self, tmp_path):
+        directory = SystemConfig.small(4, references=100, seed=3)
+        specs = [RunSpec(config=directory.with_updates(
+                     protocol=ProtocolKind.SNOOPING)),
+                 RunSpec(config=directory),
+                 small_spec(references=100, seed=5,
+                            recovery_rate_per_second=2e9)]
+        cold = SerialExecutor(cache=ResultCache(str(tmp_path))).map(specs)
+        warm_cache = ResultCache(str(tmp_path))
+        warm = SerialExecutor(cache=warm_cache).map(specs)
+        assert warm_cache.stats() == {"hits": 3, "misses": 0, "stored": 0}
+        assert [result_bytes(r) for r in warm] == \
+               [result_bytes(r) for r in cold]
+
+    def test_set_pool_disabled_after_map(self, monkeypatch):
+        from repro.campaign import executor as executor_module
+        from repro.coherence import cache as cache_module
+
+        SerialExecutor().map([small_spec(references=60)])
+        assert not cache_module._POOL_ENABLED
+        assert not cache_module._SET_POOL
+
+        original = executor_module.build_system
+
+        def build_then_fail(config, label=None):
+            if config.workload.seed == 2:
+                raise RuntimeError("bad design point")
+            return original(config, label=label)
+
+        monkeypatch.setattr(executor_module, "build_system", build_then_fail)
+        with pytest.raises(RuntimeError, match="bad design point"):
+            SerialExecutor().map([small_spec(references=60),
+                                  small_spec(references=60, seed=2)])
+        assert not cache_module._POOL_ENABLED
+        assert not cache_module._SET_POOL
+
     def test_corrupt_cache_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         spec = small_spec(references=120)
@@ -278,6 +314,28 @@ class TestRunnerCLI:
         text = text_path.read_text()
         assert "Table 2" in text and "Figure 2" in text
         assert runner.SECTION_SEPARATOR.strip("\n") in text
+
+    def test_memos_block_is_execution_side(self, tmp_path):
+        """The runner surfaces memo_stats() next to the kernel block, and
+        compare_reports strips it: reports stay byte-comparable."""
+        import subprocess
+        import sys
+
+        path = tmp_path / "report.json"
+        assert runner.main(["--only", "fig2", "--quick",
+                            "--json", str(path)]) == 0
+        payload = json.loads(path.read_text())
+        assert {"stream_hits", "stream_misses"} <= set(payload["memos"])
+
+        doctored = tmp_path / "doctored.json"
+        edited = dict(payload)
+        edited["memos"] = {k: v + 17 for k, v in payload["memos"].items()}
+        doctored.write_text(json.dumps(edited))
+        proc = subprocess.run(
+            [sys.executable, "tools/compare_reports.py",
+             str(path), str(doctored)],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
 
     def test_report_sections_follow_registry_order(self):
         results = runner.run_campaign(only=["fig2", "table2"])

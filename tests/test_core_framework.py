@@ -7,7 +7,6 @@ from typing import List
 import pytest
 
 from repro.core.catalog import TABLE1_MECHANISMS, mechanism_for, table1_rows
-from repro.core.detection import RecoveryRateInjector, transaction_timeout_cycles
 from repro.core.events import MisspeculationEvent, RecoveryRecord, SpeculationKind
 from repro.core.forward_progress import (
     CombinedPolicy,
@@ -16,10 +15,14 @@ from repro.core.forward_progress import (
     SlowStartGate,
     SlowStartPolicy,
 )
-from repro.core.framework import SpeculationFramework
 from repro.safetynet.manager import SafetyNet
 from repro.sim.config import CheckpointConfig, SpeculationConfig
 from repro.sim.engine import Simulator
+from repro.speculation import SpeculationManager
+from repro.speculation.detectors import (
+    RecoveryRateInjector,
+    transaction_timeout_cycles,
+)
 
 
 def _event(kind=SpeculationKind.DIRECTORY_P2P_ORDER, at=0) -> MisspeculationEvent:
@@ -31,7 +34,7 @@ def make_framework():
     safetynet = SafetyNet(sim, CheckpointConfig(
         directory_interval_cycles=1_000, recovery_latency_cycles=100,
         register_checkpoint_latency_cycles=10), num_nodes=1, interval_cycles=1_000)
-    return sim, safetynet, SpeculationFramework(sim, safetynet)
+    return sim, safetynet, SpeculationManager(sim, safetynet)
 
 
 class TestFramework:
@@ -238,7 +241,21 @@ class TestCatalog:
         assert all(len(cells) == 3 for cells in rows.values())
 
     def test_implemented_by_points_to_real_modules(self):
+        """Every dotted name in each ``implemented_by`` resolves: a module,
+        or an attribute reached from the longest importable module prefix."""
         import importlib
+        import re
         for mechanism in TABLE1_MECHANISMS:
-            module_name = mechanism.implemented_by.split()[0].rstrip(",")
-            importlib.import_module(module_name)
+            names = re.findall(r"\brepro(?:\.\w+)*", mechanism.implemented_by)
+            assert names, mechanism.implemented_by
+            for name in names:
+                parts = name.split(".")
+                for cut in range(len(parts), 0, -1):
+                    try:
+                        target = importlib.import_module(".".join(parts[:cut]))
+                    except ModuleNotFoundError:
+                        continue
+                    break
+                for attr in parts[cut:]:
+                    assert hasattr(target, attr), f"{name} does not resolve"
+                    target = getattr(target, attr)

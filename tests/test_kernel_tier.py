@@ -286,22 +286,17 @@ class TestTierParity:
                 f"@{'no-vc' if s3 else 'vc'}")
 
     def test_full_registry_grid_byte_identical(self):
-        """Every workload family x both protocols x {vc, no-vc}, both tiers,
-        serial and multiplexed.
+        """Every workload family x both protocols x {vc, no-vc}, both tiers.
 
         The exhaustive (small-reference) companion to the seeded sample
         above: with the coherence controllers, processor issue loop, L1 and
-        now the snooping transition handlers compiled, a divergence confined
+        the snooping transition handlers compiled, a divergence confined
         to one protocol or one workload family's access pattern must not be
-        able to hide behind the sample.  Each tier additionally re-runs the
-        whole grid under :class:`MultiplexExecutor`, so the interleaved
-        build/execute schedule and the C snooping handlers are held to the
-        same byte-for-byte oracle as plain serial execution.  Byte-for-byte
-        on the result JSON, which includes ``events_executed`` and every
-        counter — the strictest cheap oracle we have.
+        able to hide behind the sample.  Byte-for-byte on the result JSON,
+        which includes ``events_executed`` and every counter — the strictest
+        cheap oracle we have.
         """
         from repro.campaign.executor import execute_spec
-        from repro.campaign.multiplex import MultiplexExecutor
         from repro.campaign.spec import RunSpec
         from repro.experiments.workload_matrix import (
             MAX_CYCLES,
@@ -322,23 +317,14 @@ class TestTierParity:
                 label=_point_label(workload, protocol, s3),
                 max_cycles=MAX_CYCLES) for workload, protocol, s3 in grid]
 
-        def run_tier(tier: str, multiplexed: bool = False):
+        def run_tier(tier: str):
             kernel.set_kernel_tier(tier)
-            specs = grid_specs()
-            if multiplexed:
-                results = MultiplexExecutor().map(specs)
-            else:
-                results = [execute_spec(spec) for spec in specs]
-            return [json.dumps(r.to_json(), sort_keys=True) for r in results]
+            return [json.dumps(execute_spec(spec).to_json(), sort_keys=True)
+                    for spec in grid_specs()]
 
         pure = run_tier("pure")
-        legs = [
-            ("compiled", run_tier("compiled")),
-            ("pure/multiplexed", run_tier("pure", multiplexed=True)),
-            ("compiled/multiplexed", run_tier("compiled", multiplexed=True)),
-        ]
-        for leg, outputs in legs:
-            for (workload, protocol, s3), a, b in zip(grid, pure, outputs):
-                assert a == b, (
-                    f"{leg} divergence at {workload}/{protocol.value}"
-                    f"@{'no-vc' if s3 else 'vc'}")
+        compiled = run_tier("compiled")
+        for (workload, protocol, s3), a, b in zip(grid, pure, compiled):
+            assert a == b, (
+                f"tier divergence at {workload}/{protocol.value}"
+                f"@{'no-vc' if s3 else 'vc'}")

@@ -11,15 +11,12 @@ from __future__ import annotations
 import json
 
 from repro.campaign import (
-    BatchExecutor,
     ResultCache,
     RunSpec,
     SerialExecutor,
-    artifact_keys,
     canonical_json,
     clear_memos,
     execute_spec,
-    make_executor,
     memo_stats,
 )
 from repro.interconnect.topology import (
@@ -158,35 +155,11 @@ class TestColdWarmDeterminism:
         assert result_bytes(system_result) == result_bytes(memoized)
 
 
-class TestBatchExecutor:
-    def test_batched_matches_serial_in_spec_order(self):
-        specs = [small_spec(references=120),
-                 small_spec(references=120, seed=2),
-                 small_spec(references=100),
-                 small_spec(references=120)]  # same artifacts as spec 0
-        serial = [result_bytes(r) for r in SerialExecutor().map(specs)]
-        clear_memos()
-        batched = [result_bytes(r) for r in BatchExecutor().map(specs)]
-        assert batched == serial
-
-    def test_groups_share_artifact_keys(self):
-        a = small_spec(references=120)
-        b = small_spec(references=120)
-        c = small_spec(references=120, seed=2)
-        assert artifact_keys(a.config) == artifact_keys(b.config)
-        assert artifact_keys(a.config) != artifact_keys(c.config)
-
-    def test_make_executor_selects_batched(self):
-        assert isinstance(make_executor(batched=True), BatchExecutor)
-        assert isinstance(make_executor(), SerialExecutor)
-        assert not isinstance(make_executor(), BatchExecutor)
-
-
 class TestResultCacheCounters:
     def test_stats_track_hits_misses_and_stores(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         spec = small_spec(references=100)
-        executor = BatchExecutor(cache=cache)
+        executor = SerialExecutor(cache=cache)
         first = executor.run(spec)
         assert cache.stats() == {"hits": 0, "misses": 1, "stored": 1}
         second = executor.run(spec)

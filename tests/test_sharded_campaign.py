@@ -162,18 +162,22 @@ class TestResultCacheEnvelope:
         assert payload["schema"] == CACHE_SCHEMA
         assert payload["spec_hash"] == spec.content_hash()
 
-    def test_legacy_bare_entry_still_served(self, tmp_path):
-        """Pre-envelope entries (a raw result document) remain readable."""
+    def test_bare_entry_is_a_miss_and_is_resimulated(self, tmp_path):
+        """A pre-envelope entry (a raw result document) is not served: the
+        point runs again and its entry is rewritten as an envelope."""
         cache = ResultCache(str(tmp_path))
         spec = small_spec(references=60)
         result = execute_spec(spec)
         with open(cache.path_for(spec), "w", encoding="utf-8") as handle:
             json.dump(result.to_json(), handle, sort_keys=True)
-        loaded = cache.get(spec)
-        assert loaded is not None
-        assert canonical_json(loaded.to_json()) == \
+        assert cache.get(spec) is None
+        assert cache.meta(spec) is None
+        rerun = SerialExecutor(cache=cache).run(spec)
+        assert canonical_json(rerun.to_json()) == \
             canonical_json(result.to_json())
-        assert cache.meta(spec) == {}
+        assert cache.stats() == {"hits": 0, "misses": 2, "stored": 1}
+        with open(cache.path_for(spec), "r", encoding="utf-8") as handle:
+            assert json.load(handle)["schema"] == CACHE_SCHEMA
 
     def test_half_written_entry_is_a_miss(self, tmp_path):
         """A torn entry (crash mid-write) must never poison the spec."""
@@ -474,6 +478,16 @@ class TestRunnerFlags:
         with pytest.raises(SystemExit):
             runner.main(["--workers", "2", "--cache", str(tmp_path),
                          "--parallel", "2"])
+
+    @pytest.mark.parametrize("flag", ["--parallel", "--workers"])
+    def test_negative_counts_rejected(self, flag, tmp_path, capsys):
+        from repro.experiments import runner
+
+        with pytest.raises(SystemExit) as excinfo:
+            runner.main([flag, "-4", "--cache", str(tmp_path),
+                         "--only", "fig2", "--quick"])
+        assert excinfo.value.code == 2
+        assert "must be >= 0" in capsys.readouterr().err
 
     def test_status_of_empty_store(self, tmp_path, capsys):
         from repro.experiments import runner

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Byte-compare two runner ``--json`` reports modulo execution-side keys.
 
-The determinism contract says serial, parallel, batched, cached, sharded —
+The determinism contract says serial, parallel, cached, sharded —
 and pure- vs compiled-tier — execution produce *the same report*.  The only
 permitted differences are the execution-side top-level blocks: ``cache``
 (this process's hit/miss/store traffic, present only under ``--cache``) and
@@ -33,8 +33,9 @@ from typing import Any, Dict, List, Optional
 #: per-process hit/miss summary of ``--cache`` runs; ``kernel`` records the
 #: executing kernel tier (+ compiler tag), which legitimately differs when
 #: the same campaign is run on the pure and the compiled tier; ``memos`` is
-#: the artifact-memo hit/miss tally, which legitimately differs between
-#: cold (serial/parallel) and warm (batched/multiplexed) execution.
+#: the artifact-memo hit/miss tally of the campaign process, which
+#: legitimately differs between in-process (serial) execution and execution
+#: in worker processes (parallel/sharded), whose memos it never sees.
 EXECUTION_KEYS = ("cache", "kernel", "memos")
 
 
