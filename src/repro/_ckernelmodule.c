@@ -1580,7 +1580,8 @@ static struct {
         *delivered_at, *injected_at, *messages_delivered,
         *total_message_latency, *delivered, *receive, *ordering,
         *note_delivery, *deliver_label, *squashed_net, *delivered_name,
-        *reordered_name, *send_seq_name, *max_delivered_seq;
+        *reordered_name, *send_seq_name, *max_delivered_seq,
+        *disabled_until, *decisions, *non_dim_choices;
 } S;
 
 static PyObject *Direction_LOCAL = NULL;     /* lazily imported */
@@ -1636,9 +1637,9 @@ struct CSwitchCoreT {
     long local_vns, local_vcc;
     long local_nslots;          /* actual allocated count (1 when shared) */
     GridSlot *local_slots;      /* [vn][vc] row-major */
-    PyObject *route_row;        /* list, or NULL for adaptive */
-    PyObject *route_fn;         /* bound routing.route */
-    PyObject *congestion_fn;    /* bound switch._congestion_for */
+    PyObject *route_row;        /* dimension-order [dst] -> Direction */
+    PyObject *router;           /* AdaptiveMinimalRouting, NULL if static */
+    PyObject *minimal_row;      /* [dst] -> minimal Directions, or NULL */
     PyObject *switch_id_obj;
     long long ejection_latency;
     PyObject *ejection_delay_obj;
@@ -2203,8 +2204,8 @@ Core_traverse(CSwitchCore *self, visitproc visit, void *arg)
         }
     }
     Py_VISIT(self->route_row);
-    Py_VISIT(self->route_fn);
-    Py_VISIT(self->congestion_fn);
+    Py_VISIT(self->router);
+    Py_VISIT(self->minimal_row);
     Py_VISIT(self->switch_id_obj);
     Py_VISIT(self->ejection_delay_obj);
     Py_VISIT(self->can_eject);
@@ -2271,8 +2272,8 @@ Core_clear_gc(CSwitchCore *self)
         }
     }
     Py_CLEAR(self->route_row);
-    Py_CLEAR(self->route_fn);
-    Py_CLEAR(self->congestion_fn);
+    Py_CLEAR(self->router);
+    Py_CLEAR(self->minimal_row);
     Py_CLEAR(self->switch_id_obj);
     Py_CLEAR(self->ejection_delay_obj);
     Py_CLEAR(self->can_eject);
@@ -2350,6 +2351,66 @@ grid_slot_init(GridSlot *slot, PyObject *buf, uint64_t bit)
     slot->append = append;
     slot->capacity = (long)capacity;
     slot->bit = bit;
+    return 0;
+}
+
+/* this switch's row of router.<table_name> */
+static PyObject *
+router_table_row(CSwitchCore *self, const char *table_name)
+{
+    PyObject *table = PyObject_GetAttrString(self->router, table_name);
+    if (table == NULL)
+        return NULL;
+    PyObject *row = PyObject_GetItem(table, self->switch_id_obj);
+    Py_DECREF(table);
+    if (row != NULL && !PyList_Check(row)) {
+        PyErr_Format(PyExc_TypeError, "%s rows must be lists", table_name);
+        Py_CLEAR(row);
+    }
+    return row;
+}
+
+/* Routing state.  Static routing: the switch's dimension-order row
+ * (switch._route_row).  Adaptive routing (_route_row is None): the router
+ * itself plus its _static_table and _minimal_table rows, so the scan
+ * decides every route in C (core_route_adaptive). */
+static int
+core_init_routing(CSwitchCore *self, PyObject *sw)
+{
+    PyObject *row = PyObject_GetAttrString(sw, "_route_row");
+    if (row == NULL)
+        return -1;
+    if (row != Py_None) {
+        self->route_row = row;
+        if (!PyList_Check(row)) {
+            PyErr_SetString(PyExc_TypeError, "_route_row must be a list");
+            return -1;
+        }
+        return 0;
+    }
+    Py_DECREF(row);
+    self->router = PyObject_GetAttrString(self->network, "routing");
+    if (self->router == NULL)
+        return -1;
+    self->route_row = router_table_row(self, "_static_table");
+    if (self->route_row == NULL)
+        return -1;
+    self->minimal_row = router_table_row(self, "_minimal_table");
+    if (self->minimal_row == NULL)
+        return -1;
+    Py_ssize_t n = PyList_GET_SIZE(self->route_row);
+    if (PyList_GET_SIZE(self->minimal_row) != n) {
+        PyErr_SetString(PyExc_ValueError,
+                        "static and minimal routing rows differ in length");
+        return -1;
+    }
+    for (Py_ssize_t dst = 0; dst < n; dst++) {
+        if (!PyList_Check(PyList_GET_ITEM(self->minimal_row, dst))) {
+            PyErr_SetString(PyExc_TypeError,
+                            "minimal direction entries must be lists");
+            return -1;
+        }
+    }
     return 0;
 }
 
@@ -2518,22 +2579,10 @@ Core_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     }
     Py_DECREF(local_grid);
 
-    /* routing */
-    tmp = PyObject_GetAttrString(sw, "_route_row");
-    if (tmp == NULL)
-        goto fail;
-    if (tmp == Py_None)
-        Py_DECREF(tmp);
-    else
-        self->route_row = tmp;
-    self->route_fn = PyObject_GetAttrString(sw, "_route");
-    if (self->route_fn == NULL)
-        goto fail;
-    self->congestion_fn = PyObject_GetAttrString(sw, "_congestion_for");
-    if (self->congestion_fn == NULL)
-        goto fail;
     self->switch_id_obj = PyObject_GetAttrString(sw, "switch_id");
     if (self->switch_id_obj == NULL)
+        goto fail;
+    if (core_init_routing(self, sw) < 0)
         goto fail;
     long long ej;
     tmp = PyObject_GetAttrString(sw, "EJECTION_LATENCY");
@@ -3006,6 +3055,96 @@ Core_schedule_scan(CSwitchCore *self, PyObject *const *args,
     Py_RETURN_NONE;
 }
 
+/* The out-port wired toward `direction` (identity match; <= 4 wired
+ * directions, a linear scan beats a dict), or NULL when unwired. */
+static inline OutPort *
+core_find_out(CSwitchCore *self, PyObject *direction)
+{
+    for (Py_ssize_t i = 0; i < self->nout; i++) {
+        if (self->outs[i].dir == direction)
+            return &self->outs[i];
+    }
+    return NULL;
+}
+
+/* Port of Switch._congestion_for: occupied plus reserved downstream slots,
+ * plus 1 + (busy_until - now) // latency while the link is busy; an
+ * unwired direction (out == NULL) scores 0. */
+static int
+core_congestion(OutPort *out, long long now, long long *score)
+{
+    long long total = 0;
+    if (out != NULL) {
+        for (long j = 0; j < out->ndslots; j++) {
+            long long reserved;
+            if (getattr_ll(out->dslots[j].buf, S.reserved, &reserved) < 0)
+                return -1;
+            Py_ssize_t qlen = PyObject_Size(out->dslots[j].deque);
+            if (qlen < 0)
+                return -1;
+            total += (long long)qlen + reserved;
+        }
+        long long busy_until;
+        if (getattr_ll(out->link, S.busy_until, &busy_until) < 0)
+            return -1;
+        if (now < busy_until)
+            total += 1 + (busy_until - now) / (out->latency_cycles > 1
+                                               ? out->latency_cycles : 1);
+    }
+    *score = total;
+    return 0;
+}
+
+/* Port of AdaptiveMinimalRouting.route at this switch (borrowed result).
+ * The disable window and both counters stay the router's Python
+ * attributes, read and written at the same points as the pure method. */
+static PyObject *
+core_route_adaptive(CSwitchCore *self, Py_ssize_t dst, long long now)
+{
+    PyObject *static_choice = PyList_GET_ITEM(self->route_row, dst);
+    long long disabled_until;
+    if (getattr_ll(self->router, S.disabled_until, &disabled_until) < 0)
+        return NULL;
+    if (now < disabled_until)
+        return static_choice;
+    PyObject *options = PyList_GET_ITEM(self->minimal_row, dst);
+    Py_ssize_t n = PyList_GET_SIZE(options);
+    if (n <= 1)
+        return n ? PyList_GET_ITEM(options, 0) : static_choice;
+    if (addattr_ll(self->router, S.decisions, 1) < 0)
+        return NULL;
+    /* Lowest score wins; among equals the dimension-order direction, then
+     * the smallest Direction value (the pure method's sorted(...)[0]). */
+    PyObject *choice = NULL;
+    long long best = 0;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *option = PyList_GET_ITEM(options, i);
+        long long score;
+        if (core_congestion(core_find_out(self, option), now, &score) < 0)
+            return NULL;
+        if (choice == NULL || score < best) {
+            choice = option;
+            best = score;
+        }
+        else if (score == best && choice != static_choice) {
+            if (option == static_choice) {
+                choice = option;
+            }
+            else {
+                int cmp = PyUnicode_Compare(option, choice);
+                if (cmp == -1 && PyErr_Occurred())
+                    return NULL;
+                if (cmp < 0)
+                    choice = option;
+            }
+        }
+    }
+    if (choice != static_choice
+        && addattr_ll(self->router, S.non_dim_choices, 1) < 0)
+        return NULL;
+    return choice;
+}
+
 /* One forwarding pass -- the port of Switch._scan. */
 static PyObject *
 Core_scan(CSwitchCore *self, PyObject *Py_UNUSED(ignored))
@@ -3036,28 +3175,27 @@ Core_scan(CSwitchCore *self, PyObject *Py_UNUSED(ignored))
         PyObject *message = PySequence_GetItem(slot->deque, 0);
         if (message == NULL)
             return NULL;
-        /* route */
-        PyObject *direction;
-        if (self->route_row != NULL) {
-            long long dst;
-            if (getattr_ll(message, S.dst, &dst) < 0) {
-                Py_DECREF(message);
-                return NULL;
-            }
-            direction = PyList_GET_ITEM(self->route_row, dst);  /* borrowed */
-            Py_INCREF(direction);
+        /* route (borrowed: table rows hold every Direction) */
+        long long dst;
+        if (getattr_ll(message, S.dst, &dst) < 0) {
+            Py_DECREF(message);
+            return NULL;
         }
-        else {
-            direction = PyObject_CallFunctionObjArgs(
-                self->route_fn, self->switch_id_obj, message,
-                self->congestion_fn, NULL);
-            if (direction == NULL) {
-                Py_DECREF(message);
-                return NULL;
-            }
+        if (dst < 0 || dst >= PyList_GET_SIZE(self->route_row)) {
+            PyErr_Format(PyExc_IndexError, "destination %lld out of range",
+                         dst);
+            Py_DECREF(message);
+            return NULL;
+        }
+        PyObject *direction =
+            self->router == NULL
+                ? PyList_GET_ITEM(self->route_row, dst)
+                : core_route_adaptive(self, (Py_ssize_t)dst, now);
+        if (direction == NULL) {
+            Py_DECREF(message);
+            return NULL;
         }
         if (direction == Direction_LOCAL) {
-            Py_DECREF(direction);
             /* can_eject is identically True unless the no-VC design is
              * active; skip the Python call in the common case. */
             if (!self->always_eject) {
@@ -3113,16 +3251,7 @@ Core_scan(CSwitchCore *self, PyObject *Py_UNUSED(ignored))
             Py_DECREF(message);
         }
         else {
-            /* find the out-port for this direction (identity match; <= 4
-             * wired directions, linear scan beats a dict) */
-            OutPort *out = NULL;
-            for (Py_ssize_t i = 0; i < self->nout; i++) {
-                if (self->outs[i].dir == direction) {
-                    out = &self->outs[i];
-                    break;
-                }
-            }
-            Py_DECREF(direction);
+            OutPort *out = core_find_out(self, direction);
             if (out == NULL) {
                 /* degenerate 1-wide geometry: local loopback */
                 PyObject *res = PyObject_CallNoArgs(slot->popleft);
@@ -8785,6 +8914,9 @@ PyInit__ckernel(void)
     INTERN(reordered_name, "reordered");
     INTERN(send_seq_name, "send_seq");
     INTERN(max_delivered_seq, "max_delivered_seq");
+    INTERN(disabled_until, "_disabled_until");
+    INTERN(decisions, "decisions");
+    INTERN(non_dim_choices, "non_dimension_order_choices");
 #undef INTERN
 #define INTERN(field, text)                                             \
     do {                                                                \

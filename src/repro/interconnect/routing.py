@@ -9,10 +9,13 @@ because every decision is a lookup in the topology's precomputed tables):
   network trivially preserves point-to-point ordering per virtual network.
 * :class:`AdaptiveMinimalRouting` — at each hop the message may take any
   direction that lies on a minimal path; the switch picks the direction
-  whose outgoing queue is shortest (ties broken deterministically, with an
-  optional random tie-break stream).  Two messages between the same pair of
-  nodes can take different paths and arrive out of order — the property the
-  speculative directory protocol relies on being *rare*.
+  whose outgoing queue is shortest (ties broken deterministically: the
+  dimension-order direction first, then the smallest direction name).  The
+  compiled switch core makes the same decision in C (see DESIGN.md §10);
+  :meth:`AdaptiveMinimalRouting.route` is the reference both tiers match.
+  Two messages between the same pair of nodes can take different paths and
+  arrive out of order — the property the speculative directory protocol
+  relies on being *rare*.
 
 Adaptive routing can be *selectively disabled* (the forward-progress
 mechanism of Section 3.1): while disabled the adaptive router behaves exactly
@@ -23,11 +26,10 @@ recur during re-execution.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, List, Optional
+from typing import Callable
 
 from repro.interconnect.message import NetworkMessage
 from repro.interconnect.topology import Direction, Topology
-from repro.sim.rng import DeterministicRng
 
 
 class RoutingAlgorithm(ABC):
@@ -82,12 +84,8 @@ class AdaptiveMinimalRouting(RoutingAlgorithm):
 
     name = "adaptive"
 
-    def __init__(self, topology: Topology,
-                 rng: Optional[DeterministicRng] = None,
-                 random_tie_break: bool = False) -> None:
+    def __init__(self, topology: Topology) -> None:
         super().__init__(topology)
-        self.rng = rng if rng is not None else DeterministicRng(0)
-        self.random_tie_break = random_tie_break
         self._disabled_until = -1
         self._now: Callable[[], int] = lambda: 0
         self.decisions = 0
@@ -128,27 +126,27 @@ class AdaptiveMinimalRouting(RoutingAlgorithm):
             return options[0] if options else static_choice
 
         self.decisions += 1
-        scored = [(congestion(direction), direction) for direction in options]
-        best_score = min(score for score, _ in scored)
-        best = [direction for score, direction in scored if score == best_score]
-        if len(best) == 1:
-            choice = best[0]
-        elif self.random_tie_break:
-            choice = self.rng.choice("adaptive-tie-break", sorted(best, key=lambda d: d.value))
-        else:
-            # Deterministic tie break: prefer the dimension-order direction.
-            choice = static_choice if static_choice in best else sorted(
-                best, key=lambda d: d.value)[0]
-        if choice != static_choice:
+        # One pass: lowest score wins; among equal scores the dimension-order
+        # direction, then the smallest direction name.
+        choice = None
+        best_score = 0
+        for direction in options:
+            score = congestion(direction)
+            if choice is None or score < best_score:
+                choice = direction
+                best_score = score
+            elif score == best_score and choice is not static_choice and (
+                    direction is static_choice or direction.value < choice.value):
+                choice = direction
+        if choice is not static_choice:
             self.non_dimension_order_choices += 1
         return choice
 
 
-def make_routing(policy: str, topology: Topology,
-                 rng: Optional[DeterministicRng] = None) -> RoutingAlgorithm:
+def make_routing(policy: str, topology: Topology) -> RoutingAlgorithm:
     """Factory keyed by :class:`repro.sim.config.RoutingPolicy` values."""
     if policy == "static":
         return DimensionOrderRouting(topology)
     if policy == "adaptive":
-        return AdaptiveMinimalRouting(topology, rng=rng)
+        return AdaptiveMinimalRouting(topology)
     raise ValueError(f"unknown routing policy {policy!r}")

@@ -479,17 +479,26 @@ class Switch(Component):
 
     # ------------------------------------------------------------- congestion
     def _congestion_for(self, direction: Direction) -> int:
-        """Congestion metric used by adaptive routing for ``direction``."""
-        downstream_id = self.neighbors.get(direction)
-        if downstream_id is None:
+        """Congestion metric used by adaptive routing for ``direction``.
+
+        Occupied plus reserved slots of the downstream input port, plus
+        ``1 + (busy_until - now) // latency`` while the link is busy; 0 for
+        an unwired direction.  Read from the wiring table built by
+        :meth:`_finalize_wiring` -- the same data the compiled core scores.
+        """
+        out = self._out[direction]
+        if out is None:
             return 0
-        downstream = self.network.switch(downstream_id)
-        occupancy = downstream.input_channels[direction.opposite].occupancy()
-        link = self.output_links.get(direction)
-        link_penalty = 0
-        if link is not None and link.is_busy:
-            link_penalty = 1 + (link.busy_until - self.sim.now) // max(1, link.latency_cycles)
-        return occupancy + link_penalty
+        link = out[0]
+        occupancy = 0
+        for row in out[6]:
+            for buf in row:
+                occupancy += len(buf._queue) + buf._reserved
+        now = self.sim._now
+        busy_until = link.busy_until
+        if now < busy_until:
+            occupancy += 1 + (busy_until - now) // max(1, link.latency_cycles)
+        return occupancy
 
     # -------------------------------------------------------------- inspection
     def blocked_heads(self) -> List[BlockedHead]:

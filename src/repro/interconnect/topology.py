@@ -511,9 +511,9 @@ def shared_topology(kind: str, dims: Sequence[int]) -> Topology:
     the same geometry can share one instance instead of rebuilding the
     O(n^2) ``[src][dst]`` tables per run.  Both tables are forced on the
     miss path, which makes the returned artifact fully precomputed: a warm
-    hit does no geometry maths at all.  Mutable routing *state* (adaptive
-    tie-breaks, disable windows) lives on per-network routing objects,
-    never on the shared topology.
+    hit does no geometry maths at all.  Mutable routing *state* (the
+    adaptive disable window and decision counters) lives on per-network
+    routing objects, never on the shared topology.
     """
     key = (kind, tuple(int(d) for d in dims))
     topology = _TOPOLOGY_MEMO.get(key)

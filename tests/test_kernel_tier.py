@@ -328,3 +328,83 @@ class TestTierParity:
             assert a == b, (
                 f"tier divergence at {workload}/{protocol.value}"
                 f"@{'no-vc' if s3 else 'vc'}")
+
+
+# ----------------------------------------------- adaptive routing in the core
+def _adaptive_point_spec():
+    """A workload_matrix directory point: adaptively routed torus."""
+    from repro.campaign.spec import RunSpec
+    from repro.experiments.workload_matrix import (
+        MAX_CYCLES,
+        _point_config,
+        _point_label,
+    )
+    from repro.sim.config import ProtocolKind
+
+    return RunSpec(
+        config=_point_config("jbb", ProtocolKind.DIRECTORY, False,
+                             references=200, seed=3),
+        label=_point_label("jbb", ProtocolKind.DIRECTORY, False),
+        max_cycles=MAX_CYCLES)
+
+
+def _run_adaptive_point(tier: str, window=None):
+    """Result JSON plus the router's counters and disable window.
+
+    ``window`` is ``(cycle, cycles)``: at ``cycle`` a simulator event calls
+    ``network.disable_adaptive_routing(cycles)``, the S1 forward-progress
+    hook, so the run crosses a disable window.
+    """
+    from repro.campaign.executor import build_spec_system, reset_global_ids
+
+    kernel.set_kernel_tier(tier)
+    reset_global_ids()
+    spec = _adaptive_point_spec()
+    system = build_spec_system(spec)
+    network = system.network
+    assert network.adaptive_router is not None
+    if window is not None:
+        at, cycles = window
+        system.sim.schedule_at(
+            at, lambda: network.disable_adaptive_routing(cycles))
+    result = system.run(max_cycles=spec.max_cycles)
+    router = network.routing
+    return (json.dumps(result.to_json(), sort_keys=True), router.decisions,
+            router.non_dimension_order_choices, router._disabled_until)
+
+
+@needs_compiled
+class TestAdaptiveRouteInCore:
+    """The compiled switch core decides adaptive routes itself.
+
+    The router's counters are in no result, so byte-identical reports
+    alone cannot see a miscount; these tests compare them across tiers.
+    """
+
+    def test_compiled_scan_never_calls_python_routing(self, monkeypatch):
+        from repro.interconnect.routing import AdaptiveMinimalRouting
+        from repro.interconnect.switch import Switch
+
+        pure = _run_adaptive_point("pure")
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("Python routing called on the compiled tier")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(AdaptiveMinimalRouting, "route", forbidden)
+            patch.setattr(Switch, "_congestion_for", forbidden)
+            compiled = _run_adaptive_point("compiled")
+        assert compiled == pure
+        _result, decisions, non_dimension_order, disabled_until = pure
+        assert decisions > 0 and non_dimension_order > 0
+        assert disabled_until == -1
+
+    def test_disable_window_parity(self):
+        window = (150_000, 150_000)
+        pure = _run_adaptive_point("pure", window)
+        compiled = _run_adaptive_point("compiled", window)
+        assert compiled == pure
+        _result, decisions, _non_dimension_order, disabled_until = pure
+        # The window opened and suppressed decisions it would have made.
+        assert disabled_until == sum(window)
+        assert decisions < _run_adaptive_point("pure")[1]

@@ -7,6 +7,7 @@ import pytest
 from repro.interconnect.deadlock import detect_network_deadlock, detect_switch_deadlock
 from repro.interconnect.message import MessageClass, VirtualNetwork
 from repro.interconnect.network import InterconnectNetwork, OrderingTracker, make_message
+from repro.interconnect.topology import Direction
 from repro.sim.config import InterconnectConfig, RoutingPolicy
 from repro.sim.engine import Simulator
 from repro.sim.rng import DeterministicRng
@@ -21,8 +22,7 @@ def build_network(policy=RoutingPolicy.STATIC, *, width=4, height=4,
         link_bandwidth_bytes_per_sec=bandwidth, link_latency_cycles=4,
         switch_buffer_capacity=buffer_capacity,
         speculative_no_vc=speculative_no_vc, nic_injection_limit=nic_limit)
-    network = InterconnectNetwork(sim, config, frequency_hz=4e9,
-                                  rng=DeterministicRng(1))
+    network = InterconnectNetwork(sim, config, frequency_hz=4e9)
     received = []
     for node in range(width * height):
         network.attach(node, lambda m, node=node: received.append((node, m)))
@@ -137,6 +137,30 @@ class TestOrdering:
         tracker.note_delivery(message)
         tracker.reset()
         assert tracker.reorder_rate() == 0.0
+
+
+class TestCongestionMetric:
+    def test_counts_downstream_slots_and_busy_link(self):
+        sim, config, network, _received = build_network(RoutingPolicy.ADAPTIVE)
+        switch = network.switch(0)
+        direction = Direction.EAST
+        downstream = network.switch(switch.neighbors[direction])
+        channels = downstream.input_channels[direction.opposite]
+        assert switch._congestion_for(direction) == 0
+        buffers = [buf for _cid, buf in channels.buffers()]
+        buffers[0].push(make_message(0, 1, MessageClass.DATA, config=config))
+        assert buffers[-1].reserve()
+        assert switch._congestion_for(direction) == channels.occupancy() == 2
+        link = switch.output_links[direction]
+        # Busy for 3 latencies and a cycle: 1 + (3 * lat + 1) // lat = 4.
+        link.busy_until = sim.now + 3 * link.latency_cycles + 1
+        assert switch._congestion_for(direction) == 2 + 4
+        link.busy_until = sim.now
+        assert switch._congestion_for(direction) == 2
+
+    def test_unwired_direction_scores_zero(self):
+        _sim, _config, network, _received = build_network(RoutingPolicy.ADAPTIVE)
+        assert network.switch(0)._congestion_for(Direction.LOCAL) == 0
 
 
 class TestUtilizationAndFlush:

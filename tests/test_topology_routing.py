@@ -163,6 +163,22 @@ class TestRouting:
         routing.enable()
         assert routing.currently_adaptive
 
+    def test_tie_without_dimension_order_picks_smallest_name(self):
+        topo = TorusTopology(4, 4)
+        routing = AdaptiveMinimalRouting(topo)
+        assert routing._static_table[0][5] == Direction.EAST
+        # No 4x4 torus pair has three minimal directions, so give 0 -> 5 a
+        # private row: the dimension-order direction is congested and the
+        # other three tie, the smallest name listed last.
+        row = list(routing._minimal_table[0])
+        row[5] = [Direction.EAST, Direction.WEST, Direction.SOUTH, Direction.NORTH]
+        routing._minimal_table = [row] + routing._minimal_table[1:]
+        choice = routing.route(0, _msg(0, 5),
+                               lambda d: 5 if d == Direction.EAST else 0)
+        assert choice == Direction.NORTH
+        assert routing.decisions == 1
+        assert routing.non_dimension_order_choices == 1
+
     def test_non_dimension_order_choices_counted(self):
         topo = TorusTopology(4, 4)
         routing = AdaptiveMinimalRouting(topo)
